@@ -148,7 +148,6 @@ impl HostNode {
 
     fn fill_pipeline(&mut self, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
-        let qpns: Vec<u32> = self.flows.keys().copied().collect();
         if self.barrier_sync {
             // Post exactly one message per QP per round; a new round starts
             // only when every QP finished the previous one.
@@ -162,25 +161,40 @@ impl HostNode {
                 .any(|f| f.posted < f.plan.num_msgs);
             if all_idle && any_left {
                 self.round += 1;
-                for qpn in qpns {
+                let mut next = self.flows.keys().next().copied();
+                while let Some(qpn) = next {
                     let f = &self.flows[&qpn];
                     if f.posted < f.plan.num_msgs {
                         out.extend(self.post_one(qpn, now));
                     }
+                    next = self.next_flow_after(qpn);
                 }
             }
         } else {
-            for qpn in qpns {
-                loop {
-                    let f = &self.flows[&qpn];
-                    if f.posted >= f.plan.num_msgs || f.outstanding >= f.plan.tx_depth {
-                        break;
-                    }
-                    out.extend(self.post_one(qpn, now));
-                }
+            let mut next = self.flows.keys().next().copied();
+            while let Some(qpn) = next {
+                self.refill(qpn, now, &mut out);
+                next = self.next_flow_after(qpn);
             }
         }
         out
+    }
+
+    /// The flow with the next larger QPN.
+    fn next_flow_after(&self, qpn: u32) -> Option<u32> {
+        self.flows.range(qpn + 1..).next().map(|(&q, _)| q)
+    }
+
+    /// Post on flow `qpn` until its `tx_depth` window is full or its plan
+    /// is exhausted (non-barrier mode).
+    fn refill(&mut self, qpn: u32, now: SimTime, out: &mut Vec<Action>) {
+        loop {
+            let f = &self.flows[&qpn];
+            if f.posted >= f.plan.num_msgs || f.outstanding >= f.plan.tx_depth {
+                break;
+            }
+            out.extend(self.post_one(qpn, now));
+        }
     }
 
     fn on_completion(&mut self, c: Completion, ctx: &mut NodeCtx<'_>) -> Vec<Action> {
@@ -227,7 +241,8 @@ impl HostNode {
             }
         }
         let flow = &self.flows[&c.qpn];
-        if flow.completed + flow.failed == flow.plan.num_msgs {
+        let flow_done = flow.completed + flow.failed == flow.plan.num_msgs;
+        if flow_done {
             tev!(
                 ctx.telemetry(),
                 now.as_nanos(),
@@ -239,19 +254,29 @@ impl HostNode {
                 failed = flow.failed,
             );
         }
-        let mut out = self.fill_pipeline(now);
-        // Check global completion.
-        let all_done = self
-            .flows
-            .values()
-            .all(|f| f.completed + f.failed >= f.plan.num_msgs);
-        if all_done {
+        // Only this flow's window moved, so outside barrier mode only this
+        // flow can post again.
+        let out = if self.barrier_sync {
+            self.fill_pipeline(now)
+        } else {
+            let mut out = Vec::new();
+            self.refill(c.qpn, now, &mut out);
+            out
+        };
+        // Every posted message completes once, so the run can only become
+        // done at the completion that finishes its last flow.
+        if flow_done
+            && self
+                .flows
+                .values()
+                .all(|f| f.completed + f.failed >= f.plan.num_msgs)
+        {
             let mut m = self.metrics.borrow_mut();
             if m.all_done_at.is_none() {
                 m.all_done_at = Some(now);
             }
         }
-        std::mem::take(&mut out)
+        out
     }
 }
 

@@ -14,6 +14,7 @@ use crate::ets::{EtsConfig, EtsScheduler, TxCandidate};
 use crate::profile::DeviceProfile;
 use crate::qp::{Qp, QpConfig, QpState, ReadRespJob, RecvProgress};
 use crate::quirks;
+use crate::slab::QpSlab;
 use crate::timeout::TimeoutPolicy;
 use crate::verbs::{Completion, CompletionStatus, Verb, WorkRequest};
 use lumina_packet::Frame;
@@ -25,7 +26,7 @@ use lumina_packet::reth::Reth;
 use lumina_packet::{Aeth, Ecn, MacAddr};
 use lumina_sim::SimTime;
 use lumina_telemetry::{tev, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Effects the device asks its host to carry out.
 #[derive(Debug, Clone)]
@@ -85,7 +86,8 @@ pub struct Rnic {
     /// DCQCN parameters shared by all QPs of this device.
     pub dcqcn_params: DcqcnParams,
     local_mac: MacAddr,
-    qps: BTreeMap<u32, Qp>,
+    /// QPN-sorted QPs with the active bitset the TX scheduler walks.
+    qps: QpSlab,
     np: NotificationPoint,
     ets: EtsScheduler,
     port_free: SimTime,
@@ -163,7 +165,7 @@ impl Rnic {
             counters: Counters::default(),
             dcqcn_params,
             local_mac,
-            qps: BTreeMap::new(),
+            qps: QpSlab::default(),
             np: NotificationPoint::default(),
             ets,
             port_free: SimTime::ZERO,
@@ -214,29 +216,36 @@ impl Rnic {
                 self.dcqcn_params.clone(),
             ));
         }
-        let prior = self.qps.insert(qpn, qp);
-        assert!(prior.is_none(), "duplicate QPN {qpn:#x}");
+        assert!(self.qps.insert(qpn, qp), "duplicate QPN {qpn:#x}");
     }
 
     /// Borrow a QP (tests, metrics).
     pub fn qp(&self, qpn: u32) -> Option<&Qp> {
-        self.qps.get(&qpn)
+        self.qps.get(qpn)
     }
 
-    /// Mutably borrow a QP (test setup).
+    /// Mutably borrow a QP (test setup). Marks the QP active, so work
+    /// given to it here is seen by the transmit scheduler.
     pub fn qp_mut(&mut self, qpn: u32) -> Option<&mut Qp> {
-        self.qps.get_mut(&qpn)
+        self.qps.get_mut(qpn)
     }
 
     /// All local QPNs.
     pub fn qpns(&self) -> Vec<u32> {
-        self.qps.keys().copied().collect()
+        self.qps.qpns().to_vec()
+    }
+
+    /// QP slots visited by transmit scans so far: a host-independent
+    /// measure of scheduling work. Deliberately not in [`Counters`], so
+    /// reports do not depend on how the scheduler finds its candidates.
+    pub fn tx_scan_visits(&self) -> u64 {
+        self.qps.scan_visits()
     }
 
     /// Post a send-queue work request.
     pub fn post_send(&mut self, qpn: u32, wr: WorkRequest, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
-        let Some(qp) = self.qps.get_mut(&qpn) else {
+        let Some(qp) = self.qps.get_mut(qpn) else {
             panic!("post_send on unknown QP {qpn:#x}");
         };
         if qp.state == QpState::Error {
@@ -259,7 +268,7 @@ impl Rnic {
     /// Post a receive WQE (Send/Recv traffic).
     pub fn post_recv(&mut self, qpn: u32, wr_id: u64, len: u32) {
         self.qps
-            .get_mut(&qpn)
+            .get_mut(qpn)
             .expect("post_recv on unknown QP")
             .recv_queue
             .push_back((wr_id, len));
@@ -342,7 +351,7 @@ impl Rnic {
         {
             let unresolved = self
                 .qps
-                .get(&frame.bth.dest_qp)
+                .get(frame.bth.dest_qp)
                 .map(|qp| !qp.apm_resolved)
                 .unwrap_or(false);
             if unresolved {
@@ -368,7 +377,7 @@ impl Rnic {
 
     fn process_frame(&mut self, frame: RoceFrame, now: SimTime, actions: &mut Vec<Action>) {
         let qpn = frame.bth.dest_qp;
-        if !self.qps.contains_key(&qpn) {
+        if !self.qps.contains(qpn) {
             return; // unknown QP: silently dropped
         }
 
@@ -407,7 +416,7 @@ impl Rnic {
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = &self.qps[&qpn];
+        let qp = &self.qps[qpn];
         if !qp.cfg.dcqcn_np {
             return;
         }
@@ -424,7 +433,7 @@ impl Rnic {
             }
             self.counters.record_cnp_sent(&self.profile.counter_bugs);
             tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.tx", qpn = qpn);
-            let qp = &self.qps[&qpn];
+            let qp = &self.qps[qpn];
             let mut cnp = cnp_frame(qp.cfg.local.ip, qp.cfg.remote.ip, qp.cfg.remote.qpn);
             cnp.eth.src = self.local_mac;
             cnp.eth.dst = qp.cfg.remote_mac;
@@ -439,7 +448,7 @@ impl Rnic {
     fn emit_unsolicited_cnp(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
         self.counters.record_cnp_sent(&self.profile.counter_bugs);
         tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.tx", qpn = qpn);
-        let qp = &self.qps[&qpn];
+        let qp = &self.qps[qpn];
         let mut cnp = cnp_frame(qp.cfg.local.ip, qp.cfg.remote.ip, qp.cfg.remote.qpn);
         cnp.eth.src = self.local_mac;
         cnp.eth.dst = qp.cfg.remote_mac;
@@ -450,7 +459,7 @@ impl Rnic {
     fn rx_cnp(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
         self.counters.rp_cnp_handled += 1;
         tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.rx", qpn = qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         if let Some(rp) = qp.rp.as_mut() {
             rp.on_cnp();
             if !qp.dcqcn_timers_armed {
@@ -478,7 +487,7 @@ impl Rnic {
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         if qp.state == QpState::Error {
             return;
         }
@@ -618,7 +627,7 @@ impl Rnic {
 
     fn emit_ack_for(&mut self, qpn: u32, lin: u64, actions: &mut Vec<Action>) {
         let mut lin = lin;
-        let mut msn = self.qps[&qpn].msn;
+        let mut msn = self.qps[qpn].msn;
         if let Some(q) = self.quirks.as_mut() {
             match q.ack_fate(qpn) {
                 quirks::AckFate::Deliver => {}
@@ -630,7 +639,7 @@ impl Rnic {
             lin = lin.wrapping_add(q.ack_psn_skew());
             msn = q.msn_override(msn);
         }
-        let qp = &self.qps[&qpn];
+        let qp = &self.qps[qpn];
         let mut ack = ack_frame(
             qp.cfg.local.ip,
             qp.cfg.remote.ip,
@@ -673,7 +682,7 @@ impl Rnic {
     }
 
     fn rx_ack(&mut self, qpn: u32, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let lin = qp.lin_from_wire(qp.snd_una_lin, wire_psn);
         if lin < qp.snd_una_lin as i64 {
             return; // stale ACK
@@ -687,7 +696,7 @@ impl Rnic {
     /// complete via their responses; the withheld ACK progress is
     /// re-applied here once the responses arrive).
     fn advance_una_from_acks(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let mut new_una = qp
             .max_acked_lin
             .min(qp.snd_nxt_lin)
@@ -720,7 +729,7 @@ impl Rnic {
 
     fn rx_seq_nak(&mut self, qpn: u32, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
         self.counters.packet_seq_err += 1;
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let e_lin = qp.lin_from_wire(qp.snd_una_lin, wire_psn);
         if e_lin < qp.snd_una_lin as i64 {
             return;
@@ -735,7 +744,7 @@ impl Rnic {
             }
             self.complete_through(qpn, now, actions);
         }
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         if !qp.recovery_wait {
             qp.recovery_wait = true;
             qp.pending_rewind = Some(e_lin);
@@ -756,7 +765,7 @@ impl Rnic {
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let expected = qp.snd_una_lin;
         let lin = qp.lin_from_wire(expected, frame.bth.psn);
         // New-round detection (requester-side mirror of the ITER rule): a
@@ -779,7 +788,7 @@ impl Rnic {
             if qp.snd_una_lin == qp.snd_nxt_lin {
                 qp.consecutive_timeouts = 0;
             }
-            let qp = self.qps.get_mut(&qpn).unwrap();
+            let qp = self.qps.get_mut(qpn).unwrap();
             qp.read_episode = false;
             self.complete_through(qpn, now, actions);
             // A completed Read may unblock ACK progress that was withheld
@@ -797,7 +806,7 @@ impl Rnic {
                 self.counters
                     .record_implied_nak(&self.profile.counter_bugs);
                 let fire = self.enter_read_recovery(now);
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 qp.read_ooo_pending = true;
                 actions.push(Action::ArmTimer {
                     at: fire,
@@ -811,7 +820,7 @@ impl Rnic {
     /// Deliver completions for all fully acknowledged messages and prune
     /// them.
     fn complete_through(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let una = qp.snd_una_lin;
         for m in qp.msgs.iter_mut() {
             if !m.completed && m.end_lin() <= una {
@@ -852,7 +861,7 @@ impl Rnic {
             }
             token::TIMEOUT => self.timeout_fire(qpn, extra, now, &mut actions),
             token::NACK_GEN => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 if qp.nack_scheduled {
                     qp.nack_scheduled = false;
                     // Go-back-N off-by-one quirk: NACK one PSN beyond
@@ -876,7 +885,7 @@ impl Rnic {
                 }
             }
             token::NACK_REACT => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 qp.recovery_wait = false;
                 if let Some(rewind) = qp.pending_rewind.take() {
                     if rewind < qp.send_ptr_lin {
@@ -896,11 +905,11 @@ impl Rnic {
                 self.tx_kick(now, &mut actions);
             }
             token::READ_OOO => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 if qp.read_ooo_pending {
                     qp.read_ooo_pending = false;
                     self.read_recovery_done();
-                    let qp = self.qps.get_mut(&qpn).unwrap();
+                    let qp = self.qps.get_mut(qpn).unwrap();
                     // Re-issue the read request from the first missing PSN.
                     if qp.snd_una_lin < qp.send_ptr_lin {
                         qp.send_ptr_lin = qp.snd_una_lin;
@@ -919,7 +928,7 @@ impl Rnic {
                 }
             }
             token::READ_REACT => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 if let Some(job) = qp.delayed_read_jobs.pop_front() {
                     qp.read_jobs.push_back(job);
                 }
@@ -927,7 +936,7 @@ impl Rnic {
             }
             token::DCQCN_ALPHA => {
                 let p_alpha = self.dcqcn_params.alpha_timer;
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 if extra == qp.dcqcn_timer_epoch {
                     if let Some(rp) = qp.rp.as_mut() {
                         rp.on_alpha_timer();
@@ -945,7 +954,7 @@ impl Rnic {
             }
             token::DCQCN_RATE => {
                 let p_rate = self.dcqcn_params.rate_timer;
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(qpn).unwrap();
                 if extra == qp.dcqcn_timer_epoch {
                     if let Some(rp) = qp.rp.as_mut() {
                         rp.on_rate_timer();
@@ -969,7 +978,7 @@ impl Rnic {
                             .as_ref()
                             .map(|m| m.resolve_after_packets)
                             .unwrap_or(u64::MAX);
-                        if let Some(qp) = self.qps.get_mut(&frame.bth.dest_qp) {
+                        if let Some(qp) = self.qps.get_mut(frame.bth.dest_qp) {
                             qp.apm_serviced += 1;
                             if qp.apm_serviced >= resolve_after {
                                 qp.apm_resolved = true;
@@ -1000,7 +1009,7 @@ impl Rnic {
 
     fn timeout_fire(&mut self, qpn: u32, epoch: u32, now: SimTime, actions: &mut Vec<Action>) {
         let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         if epoch != qp.timer_epoch || !qp.has_unacked() || qp.state == QpState::Error {
             return;
         }
@@ -1066,7 +1075,7 @@ impl Rnic {
             .unwrap_or(false);
         if oldest_is_read && self.profile.noisy_neighbor.is_some() {
             let fire = self.enter_read_recovery(now);
-            let qp = self.qps.get_mut(&qpn).unwrap();
+            let qp = self.qps.get_mut(qpn).unwrap();
             qp.read_ooo_pending = true;
             actions.push(Action::ArmTimer {
                 at: fire,
@@ -1090,7 +1099,7 @@ impl Rnic {
     }
 
     fn timeout_policy(&self, qpn: u32) -> TimeoutPolicy {
-        let qp = &self.qps[&qpn];
+        let qp = &self.qps[qpn];
         TimeoutPolicy::for_profile(
             &self.profile,
             qp.cfg.timeout_code,
@@ -1101,7 +1110,7 @@ impl Rnic {
 
     fn arm_timeout_if_needed(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
         let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         if qp.has_unacked() && !qp.timeout_armed {
             qp.timeout_armed = true;
             qp.timer_epoch = qp.timer_epoch.wrapping_add(1);
@@ -1116,7 +1125,7 @@ impl Rnic {
 
     fn rearm_or_clear_timeout(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
         let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         qp.timer_epoch = qp.timer_epoch.wrapping_add(1);
         if qp.has_unacked() {
             qp.timeout_armed = true;
@@ -1158,46 +1167,36 @@ impl Rnic {
         }
     }
 
-    fn candidates(&self, _now: SimTime) -> Vec<(u32, bool, TxCandidate)> {
-        // (qpn, is_read_resp, candidate), in round-robin rotated order.
-        let qpns: Vec<u32> = self.qps.keys().copied().collect();
-        let n = qpns.len();
-        let mut out = Vec::new();
-        if n == 0 {
-            return out;
-        }
-        for i in 0..n {
-            let qpn = qpns[(self.rr_cursor + i) % n];
-            let qp = &self.qps[&qpn];
-            if qp.has_tx_work() {
-                let size = self.peek_req_size(qp);
-                out.push((
-                    qpn,
-                    false,
-                    TxCandidate {
-                        tc: qp.cfg.traffic_class,
-                        eligible_at: qp.next_allowed_tx,
-                        size,
-                    },
-                ));
-            }
-            if qp.has_read_resp_work() {
-                let size = self.peek_read_resp_size(qp);
-                out.push((
-                    qpn,
-                    true,
-                    TxCandidate {
-                        tc: qp.cfg.traffic_class,
-                        eligible_at: qp.next_allowed_tx,
-                        size,
-                    },
-                ));
-            }
-        }
-        out
+    /// The transmit candidates in rotation order, as
+    /// `(slot, is_read_resp, candidate)`: active QPs from slot
+    /// `rr_cursor % n` on in QPN order, a QP's request before its read
+    /// response. Under debug assertions every call first proves the active
+    /// set covers all QPs with work. Borrows only the slab, so `tx_fire`
+    /// can charge the ETS scheduler while the walk is live.
+    fn tx_candidates(
+        qps: &QpSlab,
+        rr_cursor: usize,
+    ) -> impl Iterator<Item = (usize, bool, TxCandidate)> + Clone + '_ {
+        #[cfg(debug_assertions)]
+        qps.assert_active_covers_work();
+        let start = rr_cursor % qps.len().max(1);
+        qps.active_from(start).flat_map(|(slot, qp)| {
+            let cand = |size| TxCandidate {
+                tc: qp.cfg.traffic_class,
+                eligible_at: qp.next_allowed_tx,
+                size,
+            };
+            let req = qp
+                .has_tx_work()
+                .then(|| (slot, false, cand(Self::peek_req_size(qp))));
+            let resp = qp
+                .has_read_resp_work()
+                .then(|| (slot, true, cand(Self::peek_read_resp_size(qp))));
+            req.into_iter().chain(resp)
+        })
     }
 
-    fn peek_req_size(&self, qp: &Qp) -> usize {
+    fn peek_req_size(qp: &Qp) -> usize {
         let lin = qp.send_ptr_lin;
         let Some(m) = qp.msg_at(lin) else { return 64 };
         match m.verb {
@@ -1210,7 +1209,7 @@ impl Rnic {
         }
     }
 
-    fn peek_read_resp_size(&self, qp: &Qp) -> usize {
+    fn peek_read_resp_size(qp: &Qp) -> usize {
         let Some(job) = qp.read_jobs.front() else { return 64 };
         let idx = (job.next_lin - job.msg_base_lin) as u32;
         let chunk = qp.cfg.chunk_len(job.msg_len, idx) as usize;
@@ -1218,65 +1217,70 @@ impl Rnic {
     }
 
     fn next_tx_time(&self, now: SimTime) -> Option<SimTime> {
-        let cands: Vec<TxCandidate> = self.candidates(now).into_iter().map(|c| c.2).collect();
-        if cands.is_empty() {
-            return None;
-        }
-        let opp = self.ets.next_opportunity(now, &cands)?;
+        let cands = Self::tx_candidates(&self.qps, self.rr_cursor).map(|c| c.2);
+        let opp = self.ets.next_opportunity(now, cands)?;
         Some(opp.max(self.port_free).max(now))
     }
 
     /// Transmit-wheel tick: emit at most one data packet, then re-arm.
     fn tx_fire(&mut self, now: SimTime, actions: &mut Vec<Action>) {
         if now >= self.port_free {
-            let with_meta = self.candidates(now);
-            if !with_meta.is_empty() {
-                let cands: Vec<TxCandidate> = with_meta.iter().map(|c| c.2).collect();
-                if let Some(i) = self.ets.pick(now, &cands) {
-                    let (qpn, is_read_resp, cand) = with_meta[i];
-                    self.rr_cursor = self.rr_cursor.wrapping_add(1);
-                    let mut frame = if is_read_resp {
-                        self.gen_read_resp_frame(qpn)
-                    } else {
-                        self.gen_req_frame(qpn, now)
-                    };
-                    // Misbehavior plane: ICRC miscompute flips the
-                    // emitted trailer; ghost retransmits duplicate the
-                    // previous data frame of this QP unprovoked.
-                    let mut ghost = None;
-                    if let Some(q) = self.quirks.as_mut() {
-                        q.maybe_corrupt_icrc(&mut frame);
-                        ghost = q.ghost_frame(qpn, &frame);
+            // The scheduler only sees (and refills its buckets for) a
+            // non-empty candidate set; peeking keeps that check free.
+            let picked = {
+                let mut cands = Self::tx_candidates(&self.qps, self.rr_cursor).peekable();
+                match cands.peek() {
+                    Some(_) => {
+                        let i = self.ets.pick(now, cands.clone().map(|c| c.2));
+                        i.and_then(|i| cands.nth(i))
                     }
-                    let line = lumina_packet::frame::line_occupancy_of(frame.len());
-                    self.port_free = now + self.profile.port_bandwidth.serialization_time(line);
-                    self.counters.tx_packets += 1;
-                    self.counters.tx_bytes += cand.size as u64;
-                    // DCQCN pacing for the next packet of this QP.
-                    let qp = self.qps.get_mut(&qpn).unwrap();
-                    if let Some(rp) = qp.rp.as_mut() {
-                        rp.on_bytes_sent(line as u64);
-                        if !rp.at_line_rate() {
-                            let rate = rp.current_rate();
-                            qp.next_allowed_tx = now + rate.serialization_time(line);
-                        } else {
-                            qp.next_allowed_tx = now;
-                        }
-                    }
-                    actions.push(Action::Emit(frame));
-                    if let Some(g) = ghost {
-                        self.counters.tx_packets += 1;
-                        actions.push(Action::Emit(g));
-                    }
-                    self.arm_timeout_if_needed(qpn, now, actions);
+                    None => None,
                 }
+            };
+            if let Some((slot, is_read_resp, cand)) = picked {
+                let qpn = self.qps.qpn_at(slot);
+                self.rr_cursor = self.rr_cursor.wrapping_add(1);
+                let mut frame = if is_read_resp {
+                    self.gen_read_resp_frame(qpn)
+                } else {
+                    self.gen_req_frame(qpn, now)
+                };
+                // Misbehavior plane: ICRC miscompute flips the
+                // emitted trailer; ghost retransmits duplicate the
+                // previous data frame of this QP unprovoked.
+                let mut ghost = None;
+                if let Some(q) = self.quirks.as_mut() {
+                    q.maybe_corrupt_icrc(&mut frame);
+                    ghost = q.ghost_frame(qpn, &frame);
+                }
+                let line = lumina_packet::frame::line_occupancy_of(frame.len());
+                self.port_free = now + self.profile.port_bandwidth.serialization_time(line);
+                self.counters.tx_packets += 1;
+                self.counters.tx_bytes += cand.size as u64;
+                // DCQCN pacing for the next packet of this QP.
+                let qp = self.qps.get_mut(qpn).unwrap();
+                if let Some(rp) = qp.rp.as_mut() {
+                    rp.on_bytes_sent(line as u64);
+                    if !rp.at_line_rate() {
+                        let rate = rp.current_rate();
+                        qp.next_allowed_tx = now + rate.serialization_time(line);
+                    } else {
+                        qp.next_allowed_tx = now;
+                    }
+                }
+                actions.push(Action::Emit(frame));
+                if let Some(g) = ghost {
+                    self.counters.tx_packets += 1;
+                    actions.push(Action::Emit(g));
+                }
+                self.arm_timeout_if_needed(qpn, now, actions);
             }
         }
         self.tx_kick(now, actions);
     }
 
     fn gen_req_frame(&mut self, qpn: u32, now: SimTime) -> Frame {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let lin = qp.send_ptr_lin;
         let m = *qp.msg_at(lin).expect("tx pointer outside any message");
         let idx = (lin - m.base_lin) as u32;
@@ -1293,7 +1297,7 @@ impl Rnic {
                 lin = lin,
             );
         }
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let mig = self.profile.mig_req_bit;
         let builder = DataPacketBuilder::new()
             .src_mac(self.local_mac)
@@ -1361,7 +1365,7 @@ impl Rnic {
     }
 
     fn gen_read_resp_frame(&mut self, qpn: u32) -> Frame {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(qpn).unwrap();
         let job = qp.read_jobs.front_mut().expect("no read job");
         let lin = job.next_lin;
         let idx_in_msg = (lin - job.msg_base_lin) as u32;
@@ -1372,7 +1376,7 @@ impl Rnic {
         if job.next_lin >= job.end_lin {
             qp.read_jobs.pop_front();
         }
-        let qp = &self.qps[&qpn];
+        let qp = &self.qps[qpn];
         let mut b = DataPacketBuilder::new()
             .src_mac(self.local_mac)
             .dst_mac(qp.cfg.remote_mac)
@@ -1402,6 +1406,47 @@ impl Rnic {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Work handed to a QP through `qp_mut` after a scan found it idle
+    /// still reaches the wire.
+    #[test]
+    fn qp_mut_wakes_the_scheduler() {
+        use crate::qp::QpEndpoint;
+        use std::net::Ipv4Addr;
+        let end = |qpn| QpEndpoint {
+            ip: Ipv4Addr::new(10, 0, 0, 1),
+            qpn,
+            ipsn: 0,
+        };
+        let mut rnic = Rnic::new(
+            DeviceProfile::cx5(),
+            EtsConfig::single_queue(),
+            MacAddr::local(1),
+        );
+        rnic.create_qp(QpConfig {
+            local: end(0x11),
+            remote: end(0x22),
+            remote_mac: MacAddr::local(2),
+            mtu: 1024,
+            timeout_code: 14,
+            retry_cnt: 7,
+            adaptive_retrans: false,
+            traffic_class: 0,
+            dcqcn_rp: false,
+            dcqcn_np: false,
+            min_time_between_cnps: SimTime::from_micros(4),
+            udp_src_port: 49152,
+        });
+        let tick = token::pack(token::TX_WHEEL, 0, 0);
+        assert!(rnic.on_timer(tick, SimTime::ZERO).is_empty());
+        rnic.qp_mut(0x11).unwrap().push_wqe(WorkRequest {
+            wr_id: 1,
+            verb: Verb::Write,
+            len: 100,
+        });
+        let actions = rnic.on_timer(tick, SimTime::ZERO);
+        assert!(actions.iter().any(|a| matches!(a, Action::Emit(_))));
+    }
 
     #[test]
     fn token_pack_unpack() {

@@ -147,55 +147,79 @@ impl EtsScheduler {
     /// 2. weighted TCs holding enough tokens, most-underserved
     ///    (most tokens relative to burst) first;
     /// 3. if work conserving: any remaining eligible candidate.
-    pub fn pick(&mut self, now: SimTime, candidates: &[TxCandidate]) -> Option<usize> {
+    ///
+    /// Ties go to the earliest candidate. Each step walks a fresh clone of
+    /// `candidates` and stops as soon as its answer is decided: at the
+    /// first ready candidate of the highest-priority strict TC, at the
+    /// first qualifying candidate whose class has the largest surplus of
+    /// all weighted classes, and at the first ready weighted candidate.
+    /// Step 1 is skipped when no TC is strict.
+    pub fn pick<I>(&mut self, now: SimTime, candidates: I) -> Option<usize>
+    where
+        I: Iterator<Item = TxCandidate> + Clone,
+    {
         self.refill(now);
+        let tcs = &self.cfg.tcs;
         let ready = |c: &TxCandidate| c.eligible_at <= now;
 
         // 1. Strict classes in priority order.
-        for (tc_id, tc) in self.cfg.tcs.iter().enumerate() {
-            if !tc.strict_priority {
-                continue;
+        if let Some(top) = tcs.iter().position(|t| t.strict_priority) {
+            let mut best: Option<(usize, usize)> = None; // (tc, index)
+            for (i, c) in candidates.clone().enumerate() {
+                if ready(&c) && tcs[c.tc].strict_priority && best.is_none_or(|(tc, _)| c.tc < tc) {
+                    best = Some((c.tc, i));
+                    if c.tc == top {
+                        break;
+                    }
+                }
             }
-            if let Some(i) = candidates
-                .iter()
-                .position(|c| c.tc == tc_id && ready(c))
-            {
+            if let Some((_, i)) = best {
                 return Some(i);
             }
         }
 
         // 2. Weighted classes with tokens: serve the class with the
         // largest token surplus (approximates DWRR fairness).
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            if !ready(c) || self.cfg.tcs[c.tc].strict_priority {
+        let surplus = |s: &TcState| s.tokens / s.burst_cap.max(1.0);
+        let top = tcs
+            .iter()
+            .zip(&self.states)
+            .filter(|(t, _)| !t.strict_priority)
+            .map(|(_, s)| surplus(s))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut best: Option<(usize, TxCandidate, f64)> = None;
+        for (i, c) in candidates.clone().enumerate() {
+            if !ready(&c) || tcs[c.tc].strict_priority {
                 continue;
             }
             let s = &self.states[c.tc];
             if s.tokens >= c.size as f64 {
-                let surplus = s.tokens / s.burst_cap.max(1.0);
-                if best.is_none_or(|(_, b)| surplus > b) {
-                    best = Some((i, surplus));
+                let sp = surplus(s);
+                if best.is_none_or(|(_, _, b)| sp > b) {
+                    best = Some((i, c, sp));
+                    if sp >= top {
+                        break;
+                    }
                 }
             }
         }
-        if let Some((i, _)) = best {
-            self.states[candidates[i].tc].tokens -= candidates[i].size as f64;
+        if let Some((i, c, _)) = best {
+            self.states[c.tc].tokens -= c.size as f64;
             return Some(i);
         }
 
         // 3. Work conservation: borrow idle bandwidth. A non-work-conserving
         // scheduler (the CX6 Dx bug) stops here.
         if self.cfg.work_conserving {
-            if let Some(i) = candidates
-                .iter()
-                .position(|c| ready(c) && !self.cfg.tcs[c.tc].strict_priority)
+            if let Some((i, c)) = candidates
+                .enumerate()
+                .find(|(_, c)| ready(c) && !tcs[c.tc].strict_priority)
             {
                 // Borrowing drives the class's bucket negative so its own
                 // guarantee is honored later, floored at one burst so a
                 // long borrow cannot starve the class indefinitely.
-                let s = &mut self.states[candidates[i].tc];
-                s.tokens = (s.tokens - candidates[i].size as f64).max(-s.burst_cap);
+                let s = &mut self.states[c.tc];
+                s.tokens = (s.tokens - c.size as f64).max(-s.burst_cap);
                 return Some(i);
             }
         }
@@ -205,8 +229,13 @@ impl EtsScheduler {
     /// Earliest future instant at which `pick` could succeed for the given
     /// candidates (ignoring strict classes, which are always immediate when
     /// ready). Returns `None` if no candidate can ever become eligible
-    /// (e.g. non-work-conserving with no tokens accruing).
-    pub fn next_opportunity(&self, now: SimTime, candidates: &[TxCandidate]) -> Option<SimTime> {
+    /// (e.g. non-work-conserving with no tokens accruing). No answer can
+    /// be earlier than `now`, so the walk stops at the first candidate
+    /// whose opportunity is `now`.
+    pub fn next_opportunity<I>(&self, now: SimTime, candidates: I) -> Option<SimTime>
+    where
+        I: Iterator<Item = TxCandidate>,
+    {
         let mut best: Option<SimTime> = None;
         for c in candidates {
             let pacing = c.eligible_at.max(now);
@@ -229,6 +258,9 @@ impl EtsScheduler {
             };
             if best.is_none_or(|b| t < b) {
                 best = Some(t);
+                if t == now {
+                    break;
+                }
             }
         }
         best
@@ -238,6 +270,171 @@ impl EtsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The slice-based scheduler the lazy `pick` / `next_opportunity`
+    /// replaced, kept as the reference they are checked against.
+    impl EtsScheduler {
+        fn pick_reference(&mut self, now: SimTime, candidates: &[TxCandidate]) -> Option<usize> {
+            self.refill(now);
+            let ready = |c: &TxCandidate| c.eligible_at <= now;
+            for (tc_id, tc) in self.cfg.tcs.iter().enumerate() {
+                if !tc.strict_priority {
+                    continue;
+                }
+                if let Some(i) = candidates.iter().position(|c| c.tc == tc_id && ready(c)) {
+                    return Some(i);
+                }
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for (i, c) in candidates.iter().enumerate() {
+                if !ready(c) || self.cfg.tcs[c.tc].strict_priority {
+                    continue;
+                }
+                let s = &self.states[c.tc];
+                if s.tokens >= c.size as f64 {
+                    let surplus = s.tokens / s.burst_cap.max(1.0);
+                    if best.is_none_or(|(_, b)| surplus > b) {
+                        best = Some((i, surplus));
+                    }
+                }
+            }
+            if let Some((i, _)) = best {
+                self.states[candidates[i].tc].tokens -= candidates[i].size as f64;
+                return Some(i);
+            }
+            if self.cfg.work_conserving {
+                if let Some(i) = candidates
+                    .iter()
+                    .position(|c| ready(c) && !self.cfg.tcs[c.tc].strict_priority)
+                {
+                    let s = &mut self.states[candidates[i].tc];
+                    s.tokens = (s.tokens - candidates[i].size as f64).max(-s.burst_cap);
+                    return Some(i);
+                }
+            }
+            None
+        }
+
+        fn next_opportunity_reference(
+            &self,
+            now: SimTime,
+            candidates: &[TxCandidate],
+        ) -> Option<SimTime> {
+            let mut best: Option<SimTime> = None;
+            for c in candidates {
+                let pacing = c.eligible_at.max(now);
+                let t = if self.cfg.tcs[c.tc].strict_priority || self.cfg.work_conserving {
+                    pacing
+                } else {
+                    let s = &self.states[c.tc];
+                    let dt_since = now.saturating_since(s.last_refill).as_nanos() as f64;
+                    let tokens_now = (s.tokens + dt_since * s.rate_bytes_per_ns).min(s.burst_cap);
+                    let deficit = c.size as f64 - tokens_now;
+                    if deficit <= 0.0 {
+                        pacing
+                    } else if s.rate_bytes_per_ns <= 0.0 {
+                        continue;
+                    } else {
+                        let wait_ns = (deficit / s.rate_bytes_per_ns).ceil() as u64;
+                        pacing.max(now + SimTime::from_nanos(wait_ns))
+                    }
+                };
+                if best.is_none_or(|b| t < b) {
+                    best = Some(t);
+                }
+            }
+            best
+        }
+
+        /// Bit-exact token state, for comparing two schedulers.
+        fn token_state(&self) -> Vec<(u64, SimTime)> {
+            self.states
+                .iter()
+                .map(|s| (s.tokens.to_bits(), s.last_refill))
+                .collect()
+        }
+    }
+
+    /// splitmix64: the case generator of the reference property.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Class layouts of the reference property: all weighted (equal and
+    /// unequal weights), one or two strict classes among weighted ones,
+    /// all strict. Each runs work-conserving and not.
+    fn layout(shape: usize) -> Vec<TcConfig> {
+        let w = |weight| TcConfig {
+            strict_priority: false,
+            weight,
+        };
+        let sp = TcConfig {
+            strict_priority: true,
+            weight: 0,
+        };
+        match shape {
+            0 => vec![w(1), w(1), w(1)],
+            1 => vec![w(1), w(3)],
+            2 => vec![w(2), sp, w(2)],
+            3 => vec![sp, w(1), sp, w(1)],
+            _ => vec![sp, sp],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// The lazy scheduler and the slice-based reference agree call for
+        /// call: same picked index, same opportunity time, bit-identical
+        /// token state. Candidate lists mix classes, DCQCN-paced
+        /// `eligible_at`s and sizes beyond the burst (no class ever
+        /// qualifies for them); equal weights and full buckets make
+        /// equal-surplus ties across classes the common case.
+        #[test]
+        fn lazy_scheduler_matches_reference(shape in 0usize..5, wc in 0u8..2, seed: u64) {
+            let tcs = layout(shape);
+            let n = tcs.len() as u64;
+            let cfg = EtsConfig { tcs, work_conserving: wc == 1 };
+            let mut lazy = EtsScheduler::new(cfg, Bandwidth::gbps(100), 3000.0);
+            let mut reference = lazy.clone();
+            let mut r = Mix(seed);
+            let mut now = SimTime::ZERO;
+            for step in 0..300 {
+                now += SimTime::from_nanos(r.below(300));
+                let cands: Vec<TxCandidate> = (0..r.below(9))
+                    .map(|_| TxCandidate {
+                        tc: r.below(n) as usize,
+                        eligible_at: match r.below(4) {
+                            0 => now + SimTime::from_nanos(1 + r.below(3000)),
+                            1 => now,
+                            _ => SimTime::ZERO,
+                        },
+                        size: [64, 1100, 1100, 3500][r.below(4) as usize],
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    lazy.next_opportunity(now, cands.iter().copied()),
+                    reference.next_opportunity_reference(now, &cands),
+                    "next_opportunity, step {step}"
+                );
+                prop_assert_eq!(
+                    lazy.pick(now, cands.iter().copied()),
+                    reference.pick_reference(now, &cands),
+                    "pick, step {step}"
+                );
+                prop_assert_eq!(lazy.token_state(), reference.token_state(), "step {step}");
+            }
+        }
+    }
 
     fn sched(work_conserving: bool) -> EtsScheduler {
         EtsScheduler::new(
@@ -272,7 +469,7 @@ mod tests {
         };
         let mut s = EtsScheduler::new(cfg, Bandwidth::gbps(100), 3000.0);
         let cands = [cand(1), cand(0)];
-        assert_eq!(s.pick(SimTime::ZERO, &cands), Some(1)); // strict TC 0
+        assert_eq!(s.pick(SimTime::ZERO, cands.iter().copied()), Some(1)); // strict TC 0
     }
 
     #[test]
@@ -282,7 +479,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..100 {
             let cands = [cand(0), cand(1)];
-            let i = s.pick(now, &cands).unwrap();
+            let i = s.pick(now, cands.iter().copied()).unwrap();
             served[cands[i].tc] += 1;
             now += SimTime::from_nanos(88); // one packet time at 100G
         }
@@ -299,7 +496,7 @@ mod tests {
         // it at full line rate far beyond its 50% guarantee.
         for _ in 0..1000 {
             let cands = [cand(1)];
-            if s.pick(now, &cands).is_some() {
+            if s.pick(now, cands.iter().copied()).is_some() {
                 served += 1;
             }
             now += SimTime::from_nanos(88);
@@ -317,7 +514,7 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let cands = [cand(1)];
-            if s.pick(now, &cands).is_some() {
+            if s.pick(now, cands.iter().copied()).is_some() {
                 served += 1;
             }
             now += SimTime::from_nanos(88); // offered: line rate
@@ -336,12 +533,12 @@ mod tests {
         let now = SimTime::ZERO;
         loop {
             let cands = [cand(0)];
-            if s.pick(now, &cands).is_none() {
+            if s.pick(now, cands.iter().copied()).is_none() {
                 break;
             }
         }
         let t = s
-            .next_opportunity(now, &[cand(0)])
+            .next_opportunity(now, [cand(0)].iter().copied())
             .expect("tokens accrue eventually");
         assert!(t > now);
         // At 50G guaranteed, 1100 bytes take 176 ns to earn.
@@ -357,7 +554,10 @@ mod tests {
             eligible_at: later,
             size: 1100,
         };
-        assert_eq!(s.next_opportunity(SimTime::ZERO, &[c]), Some(later));
+        assert_eq!(
+            s.next_opportunity(SimTime::ZERO, [c].iter().copied()),
+            Some(later)
+        );
     }
 
     #[test]
@@ -368,15 +568,18 @@ mod tests {
             eligible_at: SimTime::from_micros(5),
             size: 1100,
         };
-        assert_eq!(s.pick(SimTime::ZERO, &[c]), None);
-        assert_eq!(s.pick(SimTime::from_micros(5), &[c]), Some(0));
+        assert_eq!(s.pick(SimTime::ZERO, [c].iter().copied()), None);
+        assert_eq!(
+            s.pick(SimTime::from_micros(5), [c].iter().copied()),
+            Some(0)
+        );
     }
 
     #[test]
     fn single_queue_always_serves() {
         let mut s = EtsScheduler::new(EtsConfig::single_queue(), Bandwidth::gbps(100), 3000.0);
         for _ in 0..100 {
-            assert_eq!(s.pick(SimTime::ZERO, &[cand(0)]), Some(0));
+            assert_eq!(s.pick(SimTime::ZERO, [cand(0)].iter().copied()), Some(0));
         }
     }
 }

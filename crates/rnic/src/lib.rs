@@ -38,6 +38,7 @@ pub mod ets;
 pub mod profile;
 pub mod qp;
 pub mod quirks;
+mod slab;
 pub mod timeout;
 pub mod verbs;
 

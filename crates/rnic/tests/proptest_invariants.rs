@@ -55,7 +55,7 @@ proptest! {
                 TxCandidate { tc: 0, eligible_at: SimTime::ZERO, size: 1100 },
                 TxCandidate { tc: 1, eligible_at: SimTime::ZERO, size: 1100 },
             ];
-            let i = s.pick(now, &cands).expect("work conserving, both ready");
+            let i = s.pick(now, cands.iter().copied()).expect("work conserving, both ready");
             served[cands[i].tc] += 1;
             now += SimTime::from_nanos(88);
         }
@@ -85,7 +85,7 @@ proptest! {
         let n = 4000u64;
         for _ in 0..n {
             let cands = [TxCandidate { tc: 0, eligible_at: SimTime::ZERO, size: 1100 }];
-            if s.pick(now, &cands).is_some() {
+            if s.pick(now, cands.iter().copied()).is_some() {
                 served += 1;
             }
             now += SimTime::from_nanos(88);

@@ -26,8 +26,9 @@ check:
 # its live verdict) plus a live `ingest` smoke through the CLI, the
 # chaos/soak suite (noop-chaos byte-identity, the chaos×quirks
 # cross-matrix, the recovery-oracle property tests) plus a live `soak`
-# smoke sweeping every preset under generated chaos schedules, lint with
-# warnings fatal.
+# smoke sweeping every preset under generated chaos schedules, the TX-scan
+# scaling test (RNIC scheduling work per packet flat from 36 to 1000 QPs),
+# lint with warnings fatal.
 ci:
     cargo build --release
     cargo test -q
@@ -42,6 +43,7 @@ ci:
     cargo test -q --test trace_determinism
     cargo test -q --test ingest_roundtrip
     cargo test -q --test chaos_soak
+    cargo test -q --test tx_scan_scaling
     cargo test -q -p lumina-bench hotpath
     just trace
     just fuzz-coverage
@@ -112,6 +114,12 @@ soak configs="configs" scenarios="2" workers="4":
 # `cargo run --release -p lumina-bench --bin bench-gate -- --write BENCH_<date>.json`.
 bench-gate:
     cargo run --release -p lumina-bench --bin bench-gate
+
+# One run of the repository benchmark (BENCHMARK.json's command), so A/B
+# comparisons use one spelling. Prints the end-to-end metrics, then the
+# `digest <workload> <hex>` line a behaviour-preserving change must keep.
+lumbench workload="fanout" seed="1" seconds="25":
+    cargo run --release --offline --quiet --manifest-path lumbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace 0
 
 # Criterion-style benchmarks (shimmed harness; wall-clock smoke numbers).
 bench:
